@@ -17,7 +17,7 @@
 
 
 use cdvm_cracker::crack;
-use cdvm_fisa::{ExitCode, Executor, NExit, NFault, NativeState};
+use cdvm_fisa::{CodeSource, ExitCode, Executor, NExit, NFault, NativeState};
 use cdvm_mem::{CodeCache, GuestMem, Memory, NativePc};
 use cdvm_uarch::{Bbb, BbbConfig, CycleCat, Cycles, MachineConfig, MachineKind, Timing};
 use cdvm_x86::{BranchKind, Cpu, Fault, Interp};
@@ -967,7 +967,10 @@ impl System {
                         pending_in_sbt = in_sbt;
                     }
                     pending_raw += timing.retire_uop_cost(r).raw();
-                    let credit = vm.credit_at(r.pc);
+                    let credit = r.credit;
+                    // The credit was read when the run was decoded; any
+                    // later credit rewrite must have invalidated it.
+                    debug_assert_eq!(credit, code.credit(r.pc), "stale credit at {:#x}", r.pc);
                     if credit > 0 {
                         *x86_retired += credit as u64;
                         if in_sbt {

@@ -113,11 +113,13 @@ pub struct TranslateOutcome {
     pub src_pc: u32,
 }
 
-/// Fetch source for the executor, merging the two code caches by
-/// address range.
+/// Fetch source for the executor, merging the two code caches (and
+/// their credit marks) by address range.
 pub struct VmCode<'a> {
     bbt: &'a CodeCache,
     sbt: &'a CodeCache,
+    bbt_credits: &'a CreditMap,
+    sbt_credits: &'a CreditMap,
 }
 
 impl cdvm_fisa::CodeSource for VmCode<'_> {
@@ -131,6 +133,20 @@ impl cdvm_fisa::CodeSource for VmCode<'_> {
             Some(cache.read_u16(addr))
         } else {
             None
+        }
+    }
+
+    /// BBT credit entries store the instruction's x86 PC (credit is
+    /// always one per instruction; `u32::MAX` is a tombstone left by
+    /// entry redirection); SBT entries store the run's credit count.
+    fn credit(&self, addr: u32) -> u32 {
+        if addr >= self.sbt.config().base {
+            self.sbt_credits.get(addr).unwrap_or(0)
+        } else {
+            match self.bbt_credits.get(addr) {
+                Some(u32::MAX) | None => 0,
+                Some(_) => 1,
+            }
         }
     }
 }
@@ -224,6 +240,8 @@ impl Vm {
         VmCode {
             bbt: &self.bbt_cache,
             sbt: &self.sbt_cache,
+            bbt_credits: &self.bbt_credits,
+            sbt_credits: &self.sbt_credits,
         }
     }
 
@@ -238,23 +256,6 @@ impl Vm {
             return Some(pc);
         }
         None
-    }
-
-    /// Retired-instruction credit at a native PC, if any.
-    ///
-    /// BBT credit entries store the instruction's x86 PC (credit is
-    /// always one per instruction; `u32::MAX` is a tombstone left by
-    /// entry redirection); SBT entries store the run's credit count.
-    #[inline]
-    pub fn credit_at(&self, native_pc: u32) -> u32 {
-        if native_pc >= self.sbt_cache.config().base {
-            self.sbt_credits.get(native_pc).unwrap_or(0)
-        } else {
-            match self.bbt_credits.get(native_pc) {
-                Some(u32::MAX) | None => 0,
-                Some(_) => 1,
-            }
-        }
     }
 
     /// The x86 PC of the instruction whose micro-op starts at

@@ -1,5 +1,7 @@
 //! Functional executor for translated (implementation-ISA) code.
 
+use std::collections::BTreeSet;
+
 use cdvm_mem::Memory;
 use cdvm_x86::{alu, AluOp, BranchKind, Flags, MemAccess, ShiftOp, Width};
 
@@ -24,6 +26,13 @@ pub trait CodeSource {
         let b0 = h0.to_le_bytes();
         let b1 = h1.to_le_bytes();
         Some([b0[0], b0[1], b1[0], b1[1]])
+    }
+
+    /// x86 instructions retired by the micro-op at `addr` (read once,
+    /// when the executor decodes the micro-op into a run). Sources
+    /// without credit marks credit nothing.
+    fn credit(&self, _addr: u32) -> u32 {
+        0
     }
 }
 
@@ -101,6 +110,9 @@ pub struct NRetired {
     pub uop: Uop,
     /// Decode-time static classification of `uop`.
     pub meta: UopMeta,
+    /// x86 instructions this retirement completes
+    /// ([`CodeSource::credit`] at `pc`, read when the run was decoded).
+    pub credit: u32,
     /// Data memory access, if any.
     pub mem: Option<MemAccess>,
     /// Branch outcome, if this was a control transfer.
@@ -136,6 +148,10 @@ const EMPTY_KEY: u32 = 0;
 /// Safety cap on run length (a run normally ends at a redirect long
 /// before this; the cap bounds decode-ahead over degenerate byte runs).
 const MAX_RUN: usize = 256;
+
+/// Upper bound on a run's byte span (`end_pc - entry`): at most
+/// [`MAX_RUN`] micro-ops of at most 4 bytes each.
+const MAX_RUN_BYTES: u32 = 4 * MAX_RUN as u32;
 
 impl RunMap {
     fn new() -> Self {
@@ -220,28 +236,6 @@ impl RunMap {
         }
     }
 
-    /// Removes every run whose decoded PC range contains any of `addrs`
-    /// (code patches landed there, so the cached micro-ops are stale).
-    /// Patches are per-chain events, orders of magnitude rarer than
-    /// dispatch, and arrive in clusters — one table sweep handles the
-    /// whole cluster.
-    fn remove_containing(&mut self, addrs: &[u32]) {
-        let mut stale = Vec::new();
-        for i in 0..self.keys.len() {
-            let k = self.keys[i];
-            if k == EMPTY_KEY {
-                continue;
-            }
-            let end = self.vals[i].end_pc;
-            if addrs.iter().any(|&a| k <= a && a < end) {
-                stale.push(k);
-            }
-        }
-        for k in stale {
-            self.remove(k);
-        }
-    }
-
     fn clear(&mut self) {
         self.keys.fill(EMPTY_KEY);
         self.len = 0;
@@ -271,6 +265,12 @@ impl RunMap {
     }
 }
 
+/// A cached micro-op with its encoded length, its decode-time
+/// [`UopMeta`] and its x86 credit, so the retire path reads precomputed
+/// values instead of re-running opcode matches and credit lookups on
+/// every retirement.
+type Decoded = (Uop, u8, UopMeta, u32);
+
 /// True if `op` unconditionally redirects control (and therefore ends a
 /// decoded run).
 fn ends_run(op: &Op) -> bool {
@@ -288,32 +288,35 @@ fn ends_run(op: &Op) -> bool {
 /// cursor into the dense run storage — no per-micro-op table probe; only
 /// control transfers re-probe the run map. The VMM must call
 /// [`Executor::invalidate`] whenever a code-cache generation is flushed
-/// and [`Executor::invalidate_at`] for every patched site.
+/// and [`Executor::invalidate_all_at`] for every patched site.
+///
+/// Each cached micro-op also carries its [`CodeSource::credit`], read
+/// once at decode time. That is sound only while credits change no more
+/// often than bytes: every credit rewrite must invalidate its address
+/// like a byte patch does.
 pub struct Executor {
     runs: RunMap,
-    // Each element carries the micro-op, its encoded length, and its
-    // decode-time [`UopMeta`] so the timing model's retire path reads
-    // precomputed classification bits instead of re-running opcode
-    // matches on every retirement.
-    dense: Vec<(Uop, u8, UopMeta)>,
+    // Entry PCs of the cached runs, ordered so a patch checks only the
+    // runs that can reach it (entries within `MAX_RUN_BYTES` below).
+    starts: BTreeSet<u32>,
+    dense: Vec<Decoded>,
     // Cursor over the run currently executing: `dense[cur_pos]` is the
     // next micro-op iff the machine's PC equals `cur_pc` (a taken branch
     // or fault retry breaks the equality and falls back to the map).
     cur_pos: usize,
     cur_end: usize,
     cur_pc: u32,
-    retired: u64,
 }
 
 impl Default for Executor {
     fn default() -> Self {
         Executor {
             runs: RunMap::new(),
+            starts: BTreeSet::new(),
             dense: Vec::new(),
             cur_pos: 0,
             cur_end: 0,
             cur_pc: 0,
-            retired: 0,
         }
     }
 }
@@ -323,7 +326,6 @@ impl std::fmt::Debug for Executor {
         f.debug_struct("Executor")
             .field("cached_runs", &self.runs.len)
             .field("cached_uops", &self.dense.len())
-            .field("retired", &self.retired)
             .finish()
     }
 }
@@ -332,11 +334,6 @@ impl Executor {
     /// Creates an executor with an empty decode cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Micro-ops retired so far.
-    pub fn retired(&self) -> u64 {
-        self.retired
     }
 
     /// Decoded runs currently cached (diagnostic: invalidation tests
@@ -348,24 +345,30 @@ impl Executor {
     /// Clears the decode cache (call after any code-cache flush/patch).
     pub fn invalidate(&mut self) {
         self.runs.clear();
+        self.starts.clear();
         self.dense.clear();
         self.reset_cursor();
     }
 
-    /// Invalidates a single address (after chaining patches one site):
-    /// every cached run covering it is dropped and re-decoded on next
-    /// entry.
-    pub fn invalidate_at(&mut self, addr: u32) {
-        self.invalidate_all_at(&[addr]);
-    }
-
-    /// Batched [`Executor::invalidate_at`]: one run-table sweep for a
-    /// whole cluster of patched sites.
+    /// Invalidates a cluster of patched addresses: every cached run
+    /// whose decoded PC range contains one of `addrs` is dropped and
+    /// re-decoded on next entry. Only runs entered at most
+    /// `MAX_RUN_BYTES` below an address can contain it, so the work is
+    /// proportional to the runs near the patches, not to the table.
     pub fn invalidate_all_at(&mut self, addrs: &[u32]) {
         if addrs.is_empty() {
             return;
         }
-        self.runs.remove_containing(addrs);
+        let mut stale = Vec::new();
+        for &a in addrs {
+            let near = self.starts.range(a.saturating_sub(MAX_RUN_BYTES)..=a);
+            stale.extend(near.filter(|&&k| self.runs.get(k).is_some_and(|r| a < r.end_pc)));
+        }
+        for k in stale {
+            if self.starts.remove(&k) {
+                self.runs.remove(k);
+            }
+        }
         // The cursor may be mid-way through a dropped run.
         self.reset_cursor();
     }
@@ -380,11 +383,11 @@ impl Executor {
     /// caches the run, points the cursor past its first micro-op, and
     /// returns that first micro-op.
     #[inline(never)]
-    fn build_run(&mut self, code: &impl CodeSource, pc: u32) -> Result<(Uop, u8, UopMeta), NFault> {
+    fn build_run(&mut self, code: &impl CodeSource, pc: u32) -> Result<Decoded, NFault> {
         let window = code.fetch_window(pc).ok_or(NFault::BadFetch { addr: pc })?;
         let (fu, fl) =
             encoding::decode_one(&window, 0).map_err(|_| NFault::BadEncoding { addr: pc })?;
-        let first = (fu, fl, UopMeta::of(&fu));
+        let first = (fu, fl, UopMeta::of(&fu), code.credit(pc));
         let start = self.dense.len();
         self.dense.push(first);
         let mut p = pc.wrapping_add(first.1 as u32);
@@ -398,11 +401,12 @@ impl Executor {
             let Ok((u, l)) = encoding::decode_one(&w, 0) else {
                 break;
             };
-            self.dense.push((u, l, UopMeta::of(&u)));
+            self.dense.push((u, l, UopMeta::of(&u), code.credit(p)));
             p = p.wrapping_add(l as u32);
             last = u.op;
         }
         let end = self.dense.len();
+        self.starts.insert(pc);
         self.runs.insert(
             pc,
             Run {
@@ -478,7 +482,7 @@ impl Executor {
         mut xlt: Option<&mut dyn XltAssist>,
     ) -> Result<NRetired, NFault> {
         let pc = st.pc;
-        let (u, len, meta) = if pc == self.cur_pc && self.cur_pos < self.cur_end {
+        let (u, len, meta, credit) = if pc == self.cur_pc && self.cur_pos < self.cur_end {
             // Sequential: serve straight from the run cursor.
             let hit = self.dense[self.cur_pos];
             self.cur_pos += 1;
@@ -815,12 +819,12 @@ impl Executor {
         }
 
         st.pc = next;
-        self.retired += 1;
         Ok(NRetired {
             pc,
             len,
             uop: u,
             meta,
+            credit,
             mem: mem_acc,
             branch,
             exit,
@@ -1053,5 +1057,114 @@ mod tests {
             }
         );
         assert_eq!(st.pc, 0x8000_0000);
+    }
+
+    /// Reference for [`Executor::invalidate_all_at`]: sweep the whole
+    /// run table, dropping every run whose decoded PC range contains any
+    /// of `addrs`.
+    fn sweep_invalidate(ex: &mut Executor, addrs: &[u32]) {
+        for (k, _, _, end_pc) in run_set(ex) {
+            if addrs.iter().any(|&a| k <= a && a < end_pc) {
+                ex.runs.remove(k);
+            }
+        }
+        ex.reset_cursor();
+    }
+
+    /// Every cached run as `(entry, start, end, end_pc)`, sorted.
+    fn run_set(ex: &Executor) -> Vec<(u32, u32, u32, u32)> {
+        let mut v: Vec<_> = ex
+            .runs
+            .keys
+            .iter()
+            .zip(&ex.runs.vals)
+            .filter(|(&k, _)| k != EMPTY_KEY)
+            .map(|(&k, r)| (k, r.start, r.end, r.end_pc))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn range_invalidation_matches_full_sweep() {
+        const BASE: u32 = 0x8000_0000;
+        let two = Uop::alui(Op::Add, regs::EAX, regs::EAX, 1);
+        let four = Uop::alui(Op::Limm, regs::T0, 0, 5);
+        assert_eq!((two.encoded_len(), four.encoded_len()), (2, 4));
+        let stub = Uop::vmexit(ExitCode::TranslateMiss);
+        let mut rng = cdvm_mem::Rng64::new(0x5eed_0012);
+        // A straight stretch of 4-byte micro-ops longer than the cap, so
+        // runs entered in it end at `MAX_RUN` with the widest byte span,
+        // then short blocks of mixed widths, each ending in an exit stub.
+        let mut uops = vec![four; MAX_RUN + 40];
+        uops.push(stub);
+        for _ in 0..200 {
+            for _ in 0..rng.range_usize(1, 24) {
+                uops.push(if rng.bool(0.5) { two } else { four });
+            }
+            uops.push(stub);
+        }
+        let code = Flat(encoding::encode(&uops));
+        let mut pcs = Vec::with_capacity(uops.len());
+        let mut end = BASE;
+        for u in &uops {
+            pcs.push(end);
+            end += u32::from(u.encoded_len());
+        }
+
+        let mut fast = Executor::new();
+        let mut sweep = Executor::new();
+        let mut cap_runs = 0;
+        for round in 0..400 {
+            // Enter at random micro-op boundaries: block heads and
+            // mid-block side-exit targets, so cached runs overlap.
+            for _ in 0..rng.range_usize(1, 12) {
+                let pc = pcs[rng.range_usize(0, pcs.len())];
+                if fast.runs.get(pc).is_none() {
+                    let a = fast.build_run(&code, pc).unwrap();
+                    let b = sweep.build_run(&code, pc).unwrap();
+                    assert_eq!((a.0.op, a.1), (b.0.op, b.1));
+                }
+            }
+            let runs = run_set(&fast);
+            let capped: Vec<_> = runs
+                .iter()
+                .copied()
+                .filter(|r| (r.2 - r.1) as usize == MAX_RUN && r.3 - r.0 == MAX_RUN_BYTES)
+                .collect();
+            cap_runs += capped.len();
+            // A patch cluster: run entries, the exclusive `end_pc` and the
+            // bytes just below it, interior and stray addresses, with
+            // duplicates. Runs at the length cap are picked often: their
+            // last bytes sit at the edge of the index window.
+            let mut addrs: Vec<u32> = Vec::new();
+            for _ in 0..rng.range_usize(1, 7) {
+                let pool = if !capped.is_empty() && rng.bool(0.3) {
+                    &capped
+                } else {
+                    &runs
+                };
+                let (k, _, _, end_pc) = pool[rng.range_usize(0, pool.len())];
+                let a = match rng.below(7) {
+                    0 => k,
+                    1 => end_pc,
+                    2 => end_pc - 2,
+                    3 => end_pc - 4,
+                    4 => k + 2 * rng.range_u32(0, (end_pc - k) / 2),
+                    5 => BASE + 2 * rng.range_u32(0, (end - BASE) / 2 + 8),
+                    _ => addrs.last().copied().unwrap_or(k),
+                };
+                addrs.push(a);
+            }
+            fast.invalidate_all_at(&addrs);
+            sweep_invalidate(&mut sweep, &addrs);
+            let survivors = run_set(&fast);
+            assert_eq!(survivors, run_set(&sweep), "round {round}: {addrs:x?}");
+            assert_eq!(fast.cached_runs(), sweep.cached_runs());
+            let entries: Vec<u32> = survivors.iter().map(|r| r.0).collect();
+            assert!(fast.starts.iter().eq(&entries), "entry index out of step");
+            assert_eq!((fast.cur_pos, fast.cur_end, fast.cur_pc), (0, 0, 0));
+        }
+        assert!(cap_runs > 0, "no run reached the MAX_RUN cap");
     }
 }
