@@ -19,9 +19,12 @@
 #![allow(clippy::unwrap_used, clippy::panic)]
 use std::time::Instant;
 
-use cdvm_bench::{append_bench_history, banner, bench_check_enabled, emit_metrics_with, write_artifact};
+use cdvm_bench::{
+    append_bench_history, banner, baseline_number, bench_check_enabled, emit_metrics_with,
+    load_baseline, refresh_baseline, write_artifact,
+};
 use cdvm_core::{Status, System};
-use cdvm_stats::Metrics;
+use cdvm_stats::{MetricValue, Metrics};
 use cdvm_uarch::{MachineConfig, MachineKind};
 use cdvm_workloads::{build_app_run, winstone2004};
 
@@ -64,21 +67,7 @@ fn run_lane(name: &'static str, kind: MachineKind, profile_idx: usize) -> Lane {
     }
 }
 
-/// Pulls `"key": <number>` out of the flat baseline JSON without a JSON
-/// dependency (the baseline is machine-written by this bench).
-fn baseline_value(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
-}
+const BASELINE: &str = "BENCH_engine.json";
 
 fn main() {
     banner(
@@ -149,79 +138,65 @@ fn main() {
         println!("[baseline] skipped (MICRO_LANES subset run)");
         return;
     }
-    let path = baseline_path();
-    if std::env::var_os("CDVM_BENCH_WRITE_BASELINE").is_some() {
-        let mut json = String::from("{\n  \"bench\": \"micro_engine\",\n");
-        json.push_str(&format!("  \"scale\": {MICRO_SCALE},\n"));
-        for l in &lanes {
-            json.push_str(&format!("  \"{}_ns_per_inst\": {:.4},\n", l.name, l.ns_per_inst));
-        }
-        json.push_str(&format!("  \"ns_per_inst_aggregate\": {aggregate:.4}\n}}\n"));
-        std::fs::write(&path, json).expect("write BENCH_engine.json");
-        println!("[baseline] wrote {}", path.display());
+    let mut report = Metrics::new();
+    report
+        .set("bench", "micro_engine")
+        .set("scale", MICRO_SCALE);
+    for l in &lanes {
+        report.set(&format!("{}_ns_per_inst", l.name), l.ns_per_inst);
+    }
+    report.set("ns_per_inst_aggregate", aggregate);
+    if refresh_baseline(BASELINE, &report) {
         return;
     }
-
     if bench_check_enabled() {
         // One history record per gated run: the per-commit series CI
         // archives so engine-speed trends survive baseline rewrites.
-        let mut fields: Vec<(String, f64)> = lanes
-            .iter()
-            .map(|l| (format!("{}_ns_per_inst", l.name), l.ns_per_inst))
-            .collect();
-        fields.push(("ns_per_inst_aggregate".to_string(), aggregate));
-        let borrowed: Vec<(&str, f64)> =
-            fields.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        append_bench_history("micro_engine", &borrowed);
+        append_bench_history(&report);
     }
 
-    match std::fs::read_to_string(&path) {
-        Ok(text) => {
-            let base = baseline_value(&text, "ns_per_inst_aggregate")
-                .expect("BENCH_engine.json lacks ns_per_inst_aggregate");
-            let ratio = aggregate / base;
-            println!(
-                "baseline aggregate: {base:.2} ns/guest-inst (current/baseline = {ratio:.2}x)"
+    let Some(doc) = load_baseline(BASELINE) else {
+        return;
+    };
+    let base = baseline_number(&doc, BASELINE, "ns_per_inst_aggregate");
+    let ratio = aggregate / base;
+    println!("baseline aggregate: {base:.2} ns/guest-inst (current/baseline = {ratio:.2}x)");
+    let mut failures = 0u32;
+    if ratio > 1.15 {
+        failures += 1;
+        eprintln!(
+            "FAIL: aggregate {aggregate:.2} ns/guest-inst is a {:.0}% regression over \
+             the checked-in baseline {base:.2}",
+            (ratio - 1.0) * 100.0
+        );
+    }
+    // Per-lane ratchet, same 15% noise margin: the aggregate is
+    // instruction-weighted, so a big regression in a short lane
+    // (ref_superscalar is a tenth of the mix) can hide behind an
+    // improvement elsewhere — each lane must hold its own line.
+    for l in &lanes {
+        let key = format!("{}_ns_per_inst", l.name);
+        let Some(lane_base) = doc.get(&key).and_then(MetricValue::as_f64) else {
+            println!("[gate] no per-lane baseline {key} (pre-refresh file); skipped");
+            continue;
+        };
+        let lane_ratio = l.ns_per_inst / lane_base;
+        println!(
+            "baseline {:<24} {lane_base:>8.2} ns/inst (current/baseline = {lane_ratio:.2}x)",
+            l.name
+        );
+        if lane_ratio > 1.15 {
+            failures += 1;
+            eprintln!(
+                "FAIL: lane {} at {:.2} ns/inst is a {:.0}% regression over its \
+                 baseline {lane_base:.2}",
+                l.name,
+                l.ns_per_inst,
+                (lane_ratio - 1.0) * 100.0
             );
-            let mut failures = 0u32;
-            if ratio > 1.15 {
-                failures += 1;
-                eprintln!(
-                    "FAIL: aggregate {aggregate:.2} ns/guest-inst is a {:.0}% regression over \
-                     the checked-in baseline {base:.2}",
-                    (ratio - 1.0) * 100.0
-                );
-            }
-            // Per-lane ratchet, same 15% noise margin: the aggregate is
-            // instruction-weighted, so a big regression in a short lane
-            // (ref_superscalar is a tenth of the mix) can hide behind an
-            // improvement elsewhere — each lane must hold its own line.
-            for l in &lanes {
-                let key = format!("{}_ns_per_inst", l.name);
-                let Some(lane_base) = baseline_value(&text, &key) else {
-                    println!("[gate] no per-lane baseline {key} (pre-refresh file); skipped");
-                    continue;
-                };
-                let lane_ratio = l.ns_per_inst / lane_base;
-                println!(
-                    "baseline {:<24} {lane_base:>8.2} ns/inst (current/baseline = {lane_ratio:.2}x)",
-                    l.name
-                );
-                if lane_ratio > 1.15 {
-                    failures += 1;
-                    eprintln!(
-                        "FAIL: lane {} at {:.2} ns/inst is a {:.0}% regression over its \
-                         baseline {lane_base:.2}",
-                        l.name,
-                        l.ns_per_inst,
-                        (lane_ratio - 1.0) * 100.0
-                    );
-                }
-            }
-            if bench_check_enabled() && failures > 0 {
-                std::process::exit(1);
-            }
         }
-        Err(_) => println!("no BENCH_engine.json baseline yet (CDVM_BENCH_WRITE_BASELINE=1 to create)"),
+    }
+    if bench_check_enabled() && failures > 0 {
+        std::process::exit(1);
     }
 }

@@ -18,13 +18,11 @@ use cdvm_core::{
     render_chrome, FlightRecorder, Phase, RecorderConfig, Status, System, TraceBuffer, TraceEvent,
     NUM_PHASES,
 };
-use cdvm_stats::{harmonic_mean, ChromeTrace, LogSampler, Metrics};
+use cdvm_stats::{harmonic_mean, ChromeTrace, LogSampler, MetricValue, Metrics};
 use cdvm_uarch::{CycleCat, Cycles, MachineConfig, MachineKind, NUM_CATS};
 use cdvm_workloads::{winstone2004, AppProfile, Workload};
 
 pub use cdvm_workloads::env_scale;
-
-pub mod testjson;
 
 /// Instructions per sampling slice.
 pub const SAMPLE_SLICE: u64 = 4096;
@@ -380,9 +378,9 @@ fn parse_bench_check(raw: Option<&str>) -> bool {
     }
 }
 
-/// Appends one JSON line to the repo-root `BENCH_history.jsonl`,
-/// stamping the current commit and wall-clock time next to the run's
-/// numbers. Benches call this only from their `CDVM_BENCH_CHECK` gate
+/// Appends one JSON line to the repo-root `BENCH_history.jsonl`: the
+/// bench's `report` stamped with the current commit and wall-clock
+/// time. Benches call this only from their `CDVM_BENCH_CHECK` gate
 /// path, so the file accumulates exactly one record per gated bench per
 /// commit — a per-commit time series CI can archive as an artifact,
 /// while ungated local runs (profiling, experiments) leave no residue.
@@ -390,18 +388,20 @@ fn parse_bench_check(raw: Option<&str>) -> bool {
 /// Best-effort by design: a bench must never fail because history could
 /// not be written (read-only checkout, missing `.git`), so errors are
 /// reported to stderr and swallowed.
-pub fn append_bench_history(bench: &str, fields: &[(&str, f64)]) {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let commit = git_head_sha(&root).unwrap_or_else(|| "unknown".to_string());
+pub fn append_bench_history(report: &Metrics) {
+    let root = repo_root();
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let mut line = format!("{{\"bench\":\"{bench}\",\"commit\":\"{commit}\",\"unix_time\":{unix_time}");
-    for (key, value) in fields {
-        line.push_str(&format!(",\"{key}\":{value:.4}"));
-    }
-    line.push_str("}\n");
+    let mut record = report.clone();
+    record
+        .set(
+            "commit",
+            git_head_sha(&root).unwrap_or_else(|| "unknown".to_string()),
+        )
+        .set("unix_time", unix_time);
+    let line = record.to_json_compact() + "\n";
     let path = root.join("BENCH_history.jsonl");
     let res = std::fs::OpenOptions::new()
         .create(true)
@@ -412,6 +412,54 @@ pub fn append_bench_history(bench: &str, fields: &[(&str, f64)]) {
         Ok(()) => println!("[history] appended to {}", path.display()),
         Err(e) => eprintln!("cdvm: could not append {}: {e}", path.display()),
     }
+}
+
+/// The repository root, resolved at run time: the nearest ancestor of
+/// the current directory that holds `Cargo.lock`, or the current
+/// directory itself. Cargo runs benches and tests from the package
+/// directory, so this is the root of the tree being run, never the
+/// checkout the binary happened to be compiled in.
+pub fn repo_root() -> PathBuf {
+    root_from(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")))
+}
+
+fn root_from(dir: &Path) -> PathBuf {
+    let root = dir.ancestors().find(|d| d.join("Cargo.lock").is_file());
+    root.unwrap_or(dir).to_path_buf()
+}
+
+/// Reads the checked-in baseline `file` (`BENCH_engine.json`, …) from
+/// the repo root; `None`, with a note on stdout, when there is none
+/// yet. Panics, naming the file and byte offset, when it is not valid
+/// JSON.
+pub fn load_baseline(file: &str) -> Option<Metrics> {
+    let path = repo_root().join(file);
+    let Ok(text) = std::fs::read_to_string(&path) else {
+        println!("no {file} baseline yet (CDVM_BENCH_WRITE_BASELINE=1 to create)");
+        return None;
+    };
+    Some(Metrics::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display())))
+}
+
+/// The number a baseline holds under `key`; panics when it is missing
+/// or not numeric, since the gate cannot run without it.
+pub fn baseline_number(doc: &Metrics, file: &str, key: &str) -> f64 {
+    let value = doc.get(key).and_then(MetricValue::as_f64);
+    value.unwrap_or_else(|| panic!("{file} lacks a numeric {key}"))
+}
+
+/// With `CDVM_BENCH_WRITE_BASELINE` set, writes `report` as the
+/// checked-in baseline `file` at the repo root and returns true, and
+/// the bench skips its gate.
+pub fn refresh_baseline(file: &str, report: &Metrics) -> bool {
+    if std::env::var_os("CDVM_BENCH_WRITE_BASELINE").is_none() {
+        return false;
+    }
+    let path = repo_root().join(file);
+    std::fs::write(&path, report.to_json())
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("[baseline] wrote {}", path.display());
+    true
 }
 
 /// Resolves the repository's current commit hash by reading the `.git`
@@ -849,7 +897,7 @@ pub fn format_cycles(c: u64) -> String {
 
 /// Output directory for CSV artifacts (`target/figures`).
 pub fn out_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
+    let dir = repo_root().join("target/figures");
     std::fs::create_dir_all(&dir).expect("create target/figures");
     dir
 }
@@ -887,8 +935,6 @@ mod tests {
         }
     }
 
-    use crate::testjson::{Json, Parser};
-
     /// The acceptance round-trip: a real run's emitted Chrome trace
     /// parses, every logical track has monotonically non-decreasing
     /// timestamps, and the per-window phase counter track sums back to
@@ -905,8 +951,11 @@ mod tests {
         let rec = r.flight.as_deref().expect("bench runs always record");
         let mut ct = ChromeTrace::new();
         render_chrome(&mut ct, 1, "round-trip", rec, r.trace.as_ref());
-        let doc = Parser::parse(&ct.to_json());
-        let events = doc.get("traceEvents").expect("envelope").as_arr();
+        let doc = Metrics::from_json(&ct.to_json()).expect("trace parses");
+        let events = doc
+            .get("traceEvents")
+            .and_then(MetricValue::as_list)
+            .expect("envelope");
         assert!(!events.is_empty());
 
         // Track key: (pid, tid) for duration/instant events, (pid, name)
@@ -918,13 +967,19 @@ mod tests {
         let mut saw_complete = false;
         let mut saw_instant = false;
         for ev in events {
-            let ph = ev.get("ph").expect("ph").as_str();
-            let pid = ev.get("pid").expect("pid").as_num();
-            let name = ev.get("name").expect("name").as_str().to_string();
+            let ev = ev.as_map().expect("event object");
+            let num = |k: &str| ev.get(k).and_then(MetricValue::as_f64).expect(k);
+            let ph = ev.get("ph").and_then(MetricValue::as_str).expect("ph");
+            let pid = num("pid");
+            let name = ev
+                .get("name")
+                .and_then(MetricValue::as_str)
+                .expect("name")
+                .to_string();
             if ph == "M" {
                 continue;
             }
-            let ts = ev.get("ts").expect("ts").as_num();
+            let ts = num("ts");
             assert!(ts >= 0.0 && ts.is_finite(), "bad ts {ts}");
             let key = match ph {
                 "C" => {
@@ -934,11 +989,11 @@ mod tests {
                 "X" | "i" => {
                     if ph == "X" {
                         saw_complete = true;
-                        assert!(ev.get("dur").expect("dur").as_num() >= 0.0);
+                        assert!(num("dur") >= 0.0);
                     } else {
                         saw_instant = true;
                     }
-                    format!("{pid}/{}", ev.get("tid").expect("tid").as_num())
+                    format!("{pid}/{}", num("tid"))
                 }
                 other => panic!("unexpected event type {other:?}"),
             };
@@ -947,9 +1002,10 @@ mod tests {
                 assert!(ts >= p, "track {key}: ts went backwards ({p} -> {ts})");
             }
             if ph == "C" && name == "phase_cycles/window" {
-                if let Some(Json::Obj(args)) = ev.get("args") {
-                    for (phase, v) in args {
-                        *phase_sums.entry(phase.clone()).or_insert(0.0) += v.as_num();
+                if let Some(args) = ev.get("args").and_then(MetricValue::as_map) {
+                    for (phase, v) in args.iter() {
+                        *phase_sums.entry(phase.to_string()).or_insert(0.0) +=
+                            v.as_f64().expect("counter value");
                     }
                 }
             }
@@ -995,16 +1051,81 @@ mod tests {
         // the run's retired-instruction total.
         let mut top = Metrics::new();
         top.set("series", rec.to_metrics());
-        let doc = Parser::parse(&top.to_json());
-        let log = doc.get("series").unwrap().get("log").expect("log series");
-        let retired = log.get("x86_retired").unwrap().as_arr();
+        let doc = Metrics::from_json(&top.to_json()).expect("series parses");
+        assert_eq!(doc, top, "the series document round-trips exactly");
+        let log = doc
+            .get("series")
+            .and_then(MetricValue::as_map)
+            .and_then(|s| s.get("log"))
+            .and_then(MetricValue::as_map)
+            .expect("log series");
+        let retired = log
+            .get("x86_retired")
+            .and_then(MetricValue::as_list)
+            .expect("retired");
         assert_eq!(
-            retired.last().map(|v| v.as_num()),
+            retired.last().and_then(MetricValue::as_f64),
             Some(r.x86_retired as f64)
         );
     }
 
     use std::collections::HashMap;
+
+    #[test]
+    fn repo_root_is_the_nearest_ancestor_with_a_lockfile() {
+        let base = std::env::temp_dir().join(format!("cdvm-root-{}", std::process::id()));
+        let nested = base.join("outer/inner/a/b");
+        std::fs::create_dir_all(&nested).expect("create nested dirs");
+        std::fs::write(base.join("outer/Cargo.lock"), "").expect("outer lock");
+        assert_eq!(root_from(&nested), base.join("outer"));
+        std::fs::write(base.join("outer/inner/Cargo.lock"), "").expect("inner lock");
+        assert_eq!(
+            root_from(&nested),
+            base.join("outer/inner"),
+            "nearest lockfile wins"
+        );
+        let _ = std::fs::remove_dir_all(&base);
+        // The workspace running this test resolves to itself.
+        assert!(repo_root().join("Cargo.lock").is_file());
+        assert!(repo_root().join("crates/bench").is_dir());
+    }
+
+    /// Every checked-in baseline parses through the gates' loader and
+    /// holds, as a number, every key a gate reads from it. (The serve
+    /// gate compares the run's own lanes and reads no baseline key.)
+    #[test]
+    fn checked_in_baselines_hold_every_gated_key() {
+        let gated: [(&str, &str, &[&str]); 3] = [
+            (
+                "BENCH_engine.json",
+                "micro_engine",
+                &[
+                    "ns_per_inst_aggregate",
+                    "ref_superscalar_ns_per_inst",
+                    "interp_sbt_ns_per_inst",
+                    "bbt_sbt_ns_per_inst",
+                    "bbt_sbt_big_footprint_ns_per_inst",
+                ],
+            ),
+            (
+                "BENCH_startup.json",
+                "startup_snapshot",
+                &["warm_cycles_aggregate"],
+            ),
+            ("BENCH_serve.json", "serve_throughput", &[]),
+        ];
+        for (file, bench, keys) in gated {
+            let doc = load_baseline(file).unwrap_or_else(|| panic!("{file} is checked in"));
+            assert_eq!(
+                doc.get("bench").and_then(MetricValue::as_str),
+                Some(bench),
+                "{file}"
+            );
+            for key in keys {
+                assert!(baseline_number(&doc, file, key) > 0.0, "{file}: {key}");
+            }
+        }
+    }
 
     #[test]
     fn panicking_job_is_isolated_and_reported() {

@@ -1,10 +1,11 @@
 //! A hand-rolled localhost HTTP/1.1 JSON API over [`Service`].
 //!
-//! The workspace takes no network or serialization dependency, so both
-//! the HTTP framing and the JSON body parsing live here: the request
-//! parser handles exactly what the API needs (a flat JSON object of
-//! strings and unsigned integers), and responses are built with
-//! [`Metrics::to_json`](cdvm_stats::Metrics::to_json).
+//! The workspace takes no network or serialization dependency, so the
+//! HTTP framing is hand-rolled here. JSON goes through the workspace's
+//! one codec in `cdvm-stats`: request bodies are read by the strict
+//! [`Metrics::from_json`] and then checked to be a flat object of
+//! strings, unsigned integers and booleans ([`parse_body`]); responses
+//! are built with [`Metrics::to_json`].
 //!
 //! | Method & path                     | Action                                     |
 //! |-----------------------------------|--------------------------------------------|
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cdvm_stats::Metrics;
+use cdvm_stats::{MetricValue, Metrics};
 use cdvm_uarch::MachineKind;
 
 use crate::error::{OverloadScope, ServeError};
@@ -54,143 +55,34 @@ pub fn parse_machine(s: &str) -> Option<MachineKind> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON body parsing (flat object of strings and unsigned ints).
-// ---------------------------------------------------------------------------
-
-/// A JSON scalar the API accepts in request bodies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    /// A JSON string (escapes decoded).
-    Str(String),
-    /// A non-negative JSON integer.
-    Num(u64),
+/// Parses a request body: a flat JSON object of strings, unsigned
+/// integers and booleans (`{"k": "v", "n": 3}`), read strictly by
+/// [`Metrics::from_json`]. Nested containers, floats, negative numbers
+/// and `null` are rejected, since the API's request bodies never hold
+/// them. Returns `None` on any syntax error.
+pub fn parse_body(body: &str) -> Option<Metrics> {
+    let fields = Metrics::from_json(body).ok()?;
+    let flat = fields.iter().all(|(_, v)| {
+        matches!(
+            v,
+            MetricValue::Str(_) | MetricValue::U64(_) | MetricValue::Bool(_)
+        )
+    });
+    flat.then_some(fields)
 }
 
-/// Parses a flat JSON object (`{"k": "v", "n": 3}`) into key/value
-/// pairs. Nested containers, floats and negative numbers are rejected —
-/// the API's request bodies never contain them. Returns `None` on any
-/// syntax error.
-pub fn parse_flat_json(body: &str) -> Option<Vec<(String, JsonVal)>> {
-    let b = body.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    if b.get(i) != Some(&b'{') {
-        return None;
-    }
-    i += 1;
-    let mut out = Vec::new();
-    skip_ws(b, &mut i);
-    if b.get(i) == Some(&b'}') {
-        return Some(out);
-    }
-    loop {
-        skip_ws(b, &mut i);
-        let key = parse_string(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if b.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        skip_ws(b, &mut i);
-        let val = match b.get(i)? {
-            b'"' => JsonVal::Str(parse_string(b, &mut i)?),
-            b'0'..=b'9' => {
-                let start = i;
-                while matches!(b.get(i), Some(b'0'..=b'9')) {
-                    i += 1;
-                }
-                JsonVal::Num(std::str::from_utf8(&b[start..i]).ok()?.parse().ok()?)
-            }
-            b't' if b[i..].starts_with(b"true") => {
-                i += 4;
-                JsonVal::Num(1)
-            }
-            b'f' if b[i..].starts_with(b"false") => {
-                i += 5;
-                JsonVal::Num(0)
-            }
-            _ => return None,
-        };
-        out.push((key, val));
-        skip_ws(b, &mut i);
-        match b.get(i)? {
-            b',' => i += 1,
-            b'}' => return Some(out),
-            _ => return None,
-        }
-    }
+fn str_field(fields: &Metrics, key: &str) -> Option<String> {
+    fields
+        .get(key)
+        .and_then(MetricValue::as_str)
+        .map(str::to_string)
 }
 
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while matches!(b.get(*i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-        *i += 1;
-    }
-}
-
-/// Parses a JSON string at `b[*i]` (which must be `"`), decoding the
-/// RFC 8259 escapes (including `\uXXXX`, without surrogate pairing —
-/// the API never needs astral-plane tenant names).
-fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
-    if b.get(*i) != Some(&b'"') {
-        return None;
-    }
-    *i += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*i)? {
-            b'"' => {
-                *i += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b.get(*i + 1..*i + 5)?;
-                        let code =
-                            u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *i += 4;
-                    }
-                    _ => return None,
-                }
-                *i += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*i..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *i += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn field<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Option<&'a JsonVal> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_field(fields: &[(String, JsonVal)], key: &str) -> Option<String> {
-    match field(fields, key) {
-        Some(JsonVal::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn num_field(fields: &[(String, JsonVal)], key: &str) -> Option<u64> {
-    match field(fields, key) {
-        Some(JsonVal::Num(n)) => Some(*n),
+/// An unsigned field; `true`/`false` read as 1/0.
+fn num_field(fields: &Metrics, key: &str) -> Option<u64> {
+    match fields.get(key)? {
+        MetricValue::U64(n) => Some(*n),
+        MetricValue::Bool(b) => Some(u64::from(*b)),
         _ => None,
     }
 }
@@ -356,18 +248,12 @@ struct Resp {
 
 impl Resp {
     fn json(status: u16, reason: &'static str, m: &Metrics) -> Resp {
-        Resp {
-            status,
-            reason,
-            content_type: "application/json",
-            headers: Vec::new(),
-            body: m.to_json(),
-        }
+        Resp::text(status, reason, "application/json", m.to_json())
     }
 
-    /// A plain-text body: the Prometheus exposition and the raw Chrome
-    /// trace document (one JSON event per line — served as text so the
-    /// file downloads straight into Perfetto).
+    /// A pre-rendered body: JSON documents, the Prometheus exposition
+    /// and the raw Chrome trace document (one JSON event per line, so
+    /// the file downloads straight into Perfetto).
     fn text(status: u16, reason: &'static str, content_type: &'static str, body: String) -> Resp {
         Resp {
             status,
@@ -468,8 +354,15 @@ fn route(
         ),
         ("POST", ["poison", "clear"]) => {
             // `{"signature": "tenant/app/machine"}` clears one entry;
-            // an empty (or non-JSON) body clears them all.
-            let sig = parse_flat_json(body).and_then(|f| str_field(&f, "signature"));
+            // an empty body (or one without a signature) clears them all.
+            let sig = if body.trim().is_empty() {
+                None
+            } else {
+                match parse_body(body) {
+                    Some(fields) => str_field(&fields, "signature"),
+                    None => return Resp::error(400, "Bad Request", BAD_BODY),
+                }
+            };
             let mut m = Metrics::new();
             m.set("cleared", service.clear_poison(sig.as_deref()) as u64);
             Resp::json(200, "OK", &m)
@@ -492,9 +385,11 @@ fn route(
     }
 }
 
+const BAD_BODY: &str = "body is not a flat JSON object";
+
 fn post_job(service: &Service, body: &str) -> Resp {
-    let Some(fields) = parse_flat_json(body) else {
-        return Resp::error(400, "Bad Request", "body is not a flat JSON object");
+    let Some(fields) = parse_body(body) else {
+        return Resp::error(400, "Bad Request", BAD_BODY);
     };
     let Some(app) = str_field(&fields, "app") else {
         return Resp::error(400, "Bad Request", "missing \"app\"");
@@ -588,10 +483,9 @@ mod tests {
 
     #[test]
     fn flat_json_round_trip() {
-        let fields = parse_flat_json(
-            r#"{ "tenant": "acme", "app": "wordA", "deadline_ms": 250, "flag": true }"#,
-        )
-        .expect("parses");
+        let fields =
+            parse_body(r#"{ "tenant": "acme", "app": "wordA", "deadline_ms": 250, "flag": true }"#)
+                .expect("parses");
         assert_eq!(str_field(&fields, "tenant").as_deref(), Some("acme"));
         assert_eq!(str_field(&fields, "app").as_deref(), Some("wordA"));
         assert_eq!(num_field(&fields, "deadline_ms"), Some(250));
@@ -600,12 +494,44 @@ mod tests {
 
     #[test]
     fn flat_json_rejects_nesting_and_garbage() {
-        assert!(parse_flat_json("{\"a\": {\"b\": 1}}").is_none());
-        assert!(parse_flat_json("[1, 2]").is_none());
-        assert!(parse_flat_json("{\"a\": -1}").is_none());
-        assert!(parse_flat_json("{\"a\" 1}").is_none());
-        assert!(parse_flat_json("").is_none());
-        assert_eq!(parse_flat_json("{}"), Some(Vec::new()));
+        assert!(parse_body("{\"a\": {\"b\": 1}}").is_none());
+        assert!(parse_body("[1, 2]").is_none());
+        assert!(parse_body("{\"a\": -1}").is_none());
+        assert!(parse_body("{\"a\" 1}").is_none());
+        assert!(parse_body("").is_none());
+        assert_eq!(parse_body("{}"), Some(Metrics::new()));
+    }
+
+    #[test]
+    fn adversarial_bodies_are_rejected_without_panicking() {
+        let deep_lists = format!("{{\"a\":{}", "[".repeat(1 << 20));
+        let deep_objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(cdvm_stats::MAX_JSON_DEPTH * 100),
+            "}".repeat(cdvm_stats::MAX_JSON_DEPTH * 100)
+        );
+        let hostile = [
+            "[".repeat(1 << 20),
+            deep_lists,
+            deep_objects,
+            r#"{"app": "Word"} trailing"#.to_string(),
+            r#"{"app": "Word"}{}"#.to_string(),
+            r#"{"app": "Word", "app": "Excel"}"#.to_string(),
+            r#"{"app": "Wo"#.to_string(),
+            r#"{"app": "\u12x4"}"#.to_string(),
+            r#"{"app": "\ud800"}"#.to_string(),
+            "{\"app\": \"W\u{1}rd\"}".to_string(),
+            r#"{"deadline_ms": 1.5}"#.to_string(),
+            r#"{"deadline_ms": null}"#.to_string(),
+            r#"{"deadline_ms": 18446744073709551616}"#.to_string(),
+        ];
+        for body in &hostile {
+            assert!(
+                parse_body(body).is_none(),
+                "accepted {:?}",
+                &body[..body.len().min(60)]
+            );
+        }
     }
 
     #[test]

@@ -139,19 +139,14 @@ impl JobSpans {
             if s.name == "terminal" || s.end_ns.is_none() {
                 ct.instant_args(pid, 1, s.name, "service", ts, &s.attrs);
             }
-            if s.name == "stamp" {
-                if let Some(MetricValue::Str(w)) = s.attrs.get("warm") {
-                    if w.as_str() != "warm" {
-                        ct.instant_args(pid, 1, "degraded_stamp", "breaker", ts, &s.attrs);
-                    }
-                }
+            let warm = s.attrs.get("warm").and_then(MetricValue::as_str);
+            if s.name == "stamp" && warm.is_some_and(|w| w != "warm") {
+                ct.instant_args(pid, 1, "degraded_stamp", "breaker", ts, &s.attrs);
             }
-            let mut series: Vec<(&str, f64)> = Vec::new();
-            for key in ["inflight", "queue_depth", "delayed"] {
-                if let Some(MetricValue::U64(v)) = s.attrs.get(key) {
-                    series.push((key, *v as f64));
-                }
-            }
+            let series: Vec<(&str, f64)> = ["inflight", "queue_depth", "delayed"]
+                .into_iter()
+                .filter_map(|key| Some((key, s.attrs.get(key)?.as_u64()? as f64)))
+                .collect();
             if !series.is_empty() {
                 ct.counter(pid, "service_load", ts, &series);
             }

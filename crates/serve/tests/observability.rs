@@ -9,7 +9,6 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cdvm_bench::testjson::Parser;
 use cdvm_serve::api::ApiServer;
 use cdvm_serve::{JobSpec, JobState, ServeConfig, Service};
 use cdvm_stats::{parse_exposition, MetricValue, Metrics, PromKind};
@@ -52,41 +51,50 @@ fn complete(svc: &Service, spec: JobSpec) -> (u64, cdvm_serve::JobOutput) {
     }
 }
 
+fn parse(json: &str) -> Metrics {
+    Metrics::from_json(json).unwrap_or_else(|e| panic!("{e}:\n{json}"))
+}
+
+fn list<'a>(doc: &'a Metrics, key: &str) -> &'a [MetricValue] {
+    doc.get(key)
+        .and_then(MetricValue::as_list)
+        .unwrap_or_else(|| panic!("list {key} missing: {doc:?}"))
+}
+
+fn num(doc: &Metrics, key: &str) -> f64 {
+    doc.get(key)
+        .and_then(MetricValue::as_f64)
+        .unwrap_or_else(|| panic!("number {key} missing: {doc:?}"))
+}
+
+fn text<'a>(doc: &'a Metrics, key: &str) -> &'a str {
+    doc.get(key)
+        .and_then(MetricValue::as_str)
+        .unwrap_or_else(|| panic!("string {key} missing: {doc:?}"))
+}
+
 /// Pulls the span list out of a `job_spans` document as
 /// `(name, start_ns, end_ns, attrs)` tuples.
 fn span_list(doc: &Metrics) -> Vec<(String, u64, u64, Metrics)> {
-    let Some(MetricValue::List(items)) = doc.get("spans") else {
-        panic!("spans list missing: {doc:?}");
-    };
-    items
+    list(doc, "spans")
         .iter()
         .map(|it| {
-            let MetricValue::Map(m) = it else {
-                panic!("span entry is not a map: {it:?}");
+            let m = it
+                .as_map()
+                .unwrap_or_else(|| panic!("span entry is not a map: {it:?}"));
+            let ns = |key: &str| {
+                m.get(key)
+                    .and_then(MetricValue::as_u64)
+                    .unwrap_or_else(|| panic!("span [{key}] in {m:?}"))
             };
-            let name = match m.get("name") {
-                Some(MetricValue::Str(s)) => s.clone(),
-                other => panic!("span name {other:?}"),
-            };
-            let num = |key: &str| match m.get(key) {
-                Some(MetricValue::U64(v)) => *v,
-                other => panic!("span {name} [{key}] = {other:?}"),
-            };
-            let (start, end) = (num("start_ns"), num("end_ns"));
-            let attrs = match m.get("attrs") {
-                Some(MetricValue::Map(a)) => a.clone(),
-                _ => Metrics::new(),
-            };
-            (name, start, end, attrs)
+            let attrs = m
+                .get("attrs")
+                .and_then(MetricValue::as_map)
+                .cloned()
+                .unwrap_or_default();
+            (text(m, "name").to_string(), ns("start_ns"), ns("end_ns"), attrs)
         })
         .collect()
-}
-
-fn attr_str<'a>(attrs: &'a Metrics, key: &str) -> &'a str {
-    match attrs.get(key) {
-        Some(MetricValue::Str(s)) => s,
-        other => panic!("attr {key} = {other:?}"),
-    }
 }
 
 #[test]
@@ -130,13 +138,13 @@ fn span_tree_agrees_with_job_telemetry_exactly() {
 
     // Attribute checks: restore outcome on the stamp, measurements on
     // the run, state on the terminal marker.
-    assert_eq!(attr_str(&stamp.3, "warm"), "warm");
+    assert_eq!(text(&stamp.3, "warm"), "warm");
     assert_eq!(run.3.get("cycles"), Some(&MetricValue::U64(out.cycles)));
     assert_eq!(
         run.3.get("x86_retired"),
         Some(&MetricValue::U64(out.x86_retired))
     );
-    assert_eq!(attr_str(&terminal.3, "state"), "completed");
+    assert_eq!(text(&terminal.3, "state"), "completed");
 }
 
 #[test]
@@ -157,7 +165,7 @@ fn retry_spans_record_backoff_and_second_attempt() {
     );
     let backoff = &spans[2];
     assert!(
-        attr_str(&backoff.3, "error").contains("chaos"),
+        text(&backoff.3, "error").contains("chaos"),
         "the failed attempt's panic message rides the backoff span"
     );
     assert_eq!(backoff.3.get("attempt"), Some(&MetricValue::U64(1)));
@@ -271,8 +279,8 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
     let (id, out) = complete(&svc, JobSpec::new("acme", "Word", MachineKind::VmSoft));
 
     let trace = svc.job_trace(id).expect("trace retained");
-    let doc = Parser::parse(&trace);
-    let events = doc.get("traceEvents").expect("envelope").as_arr();
+    let doc = parse(&trace);
+    let events = list(&doc, "traceEvents");
     assert!(!events.is_empty());
 
     let mut stamp_ts = None;
@@ -280,22 +288,23 @@ fn merged_perfetto_trace_stacks_service_spans_above_vm_tracks() {
     let mut saw_vm_process = false;
     let mut saw_service_run = false;
     for ev in events {
-        let pid = ev.get("pid").expect("pid").as_num();
-        let ph = ev.get("ph").expect("ph").as_str();
-        let name = ev.get("name").expect("name").as_str();
+        let ev = ev.as_map().expect("event object");
+        let pid = num(ev, "pid");
+        let ph = text(ev, "ph");
+        let name = text(ev, "name");
         if ph == "M" {
             if pid == 2.0 && name == "process_name" {
                 saw_vm_process = true;
             }
             continue;
         }
-        let ts = ev.get("ts").expect("ts").as_num();
+        let ts = num(ev, "ts");
         if pid == 1.0 && name == "stamp" {
             stamp_ts = Some(ts);
         }
         if pid == 1.0 && name == "run" && ph == "X" {
             saw_service_run = true;
-            let dur_us = ev.get("dur").expect("dur").as_num();
+            let dur_us = num(ev, "dur");
             // The run span brackets the modeled execution; its
             // wall-clock duration is the run_ns telemetry minus the
             // stamp (checkout) time, so it can only be shorter.
@@ -326,20 +335,20 @@ fn hostile_tenant_names_survive_the_span_and_trace_writers() {
 
     // The spans document and the merged trace must both stay valid JSON
     // with the tenant name intact after escaping.
-    let doc = Parser::parse(&svc.job_spans(id).expect("spans").to_json());
-    assert_eq!(doc.get("tenant").expect("tenant").as_str(), tenant);
+    let spans = svc.job_spans(id).expect("spans");
+    let doc = parse(&spans.to_json());
+    assert_eq!(doc, spans, "the span document round-trips exactly");
+    assert_eq!(text(&doc, "tenant"), tenant);
     let trace = svc.job_trace(id).expect("trace");
-    let tdoc = Parser::parse(&trace);
-    let labelled = tdoc
-        .get("traceEvents")
-        .expect("envelope")
-        .as_arr()
-        .iter()
-        .any(|ev| {
-            ev.get("args")
-                .and_then(|a| a.get("name"))
-                .is_some_and(|n| n.as_str().contains(tenant))
-        });
+    let tdoc = parse(&trace);
+    let labelled = list(&tdoc, "traceEvents").iter().any(|ev| {
+        ev.as_map()
+            .and_then(|ev| ev.get("args"))
+            .and_then(MetricValue::as_map)
+            .and_then(|a| a.get("name"))
+            .and_then(MetricValue::as_str)
+            .is_some_and(|n| n.contains(tenant))
+    });
     assert!(labelled, "process label carries the raw tenant name:\n{trace}");
 }
 
@@ -402,24 +411,26 @@ fn api_serves_metrics_spans_trace_and_event_cursors() {
     // /jobs/<id>/spans returns the span tree as JSON.
     let (head, body) = http(addr, &format!("GET /jobs/{id}/spans HTTP/1.1\r\n\r\n"));
     assert!(head.contains("200 OK"), "{head}");
-    let doc = Parser::parse(&body);
-    assert!(!doc.get("spans").expect("spans").as_arr().is_empty());
+    assert!(!list(&parse(&body), "spans").is_empty());
 
     // /jobs/<id>/trace returns the merged Perfetto document.
     let (head, body) = http(addr, &format!("GET /jobs/{id}/trace HTTP/1.1\r\n\r\n"));
     assert!(head.contains("200 OK"), "{head}");
-    assert!(!Parser::parse(&body).get("traceEvents").expect("envelope").as_arr().is_empty());
+    assert!(!list(&parse(&body), "traceEvents").is_empty());
 
     // /tenants/<t>/events carries both the legacy `last` field and the
     // new `next_after` cursor, and the cursor actually paginates.
     let (_, body) = http(addr, "GET /tenants/acme/events?after=0 HTTP/1.1\r\n\r\n");
-    let doc = Parser::parse(&body);
+    let doc = parse(&body);
     assert_eq!(doc.get("last"), doc.get("next_after"));
-    assert_eq!(doc.get("events").expect("events").as_arr().len(), 1);
-    let cursor = doc.get("next_after").expect("cursor").as_num() as u64;
+    assert_eq!(list(&doc, "events").len(), 1);
+    let cursor = doc
+        .get("next_after")
+        .and_then(MetricValue::as_u64)
+        .expect("cursor");
     let (_, body) = http(addr, &format!("GET /tenants/acme/events?after={cursor} HTTP/1.1\r\n\r\n"));
     assert!(
-        Parser::parse(&body).get("events").expect("events").as_arr().is_empty(),
+        list(&parse(&body), "events").is_empty(),
         "resuming at next_after yields nothing new"
     );
 

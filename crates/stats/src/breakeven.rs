@@ -41,6 +41,7 @@ pub fn breakeven_cycles(reference: &LogSampler, vm: &LogSampler) -> Option<u64> 
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
 

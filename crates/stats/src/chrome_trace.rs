@@ -7,12 +7,11 @@
 //! microseconds; the flight recorder maps one modeled cycle to one
 //! microsecond so the timeline reads in cycles.
 //!
-//! Like the rest of the workspace the writer is hand-rolled (no
-//! serialization dependency); string escaping is shared with the
-//! [`Metrics`](crate::Metrics) JSON exporter.
+//! Each event is a [`Metrics`] map written in the workspace codec's
+//! compact layout, so escaping and number formatting match every other
+//! JSON document the workspace emits.
 
-use crate::metrics::{write_string, MetricValue, Metrics};
-use std::fmt::Write as _;
+use crate::metrics::Metrics;
 
 /// Builder for a Chrome `trace_event` JSON document.
 ///
@@ -40,55 +39,9 @@ pub struct ChromeTrace {
     events: Vec<String>,
 }
 
-/// Writes one `MetricValue` in compact (single-line) JSON.
-fn compact_value(out: &mut String, v: &MetricValue) {
-    match v {
-        MetricValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        MetricValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        MetricValue::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x:?}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        MetricValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        MetricValue::Str(s) => write_string(out, s),
-        MetricValue::List(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                compact_value(out, item);
-            }
-            out.push(']');
-        }
-        MetricValue::Map(m) => compact_map(out, m),
-    }
-}
-
-/// Writes a `Metrics` map in compact (single-line) JSON.
-fn compact_map(out: &mut String, m: &Metrics) {
-    out.push('{');
-    for (i, (k, v)) in m.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(out, k);
-        out.push(':');
-        compact_value(out, v);
-    }
-    out.push('}');
-}
-
-/// Microsecond timestamps must be finite and non-negative; clamp rather
-/// than emit JSON the viewer rejects.
-fn clean_ts(ts: f64) -> f64 {
+/// Microsecond timestamps and durations must be finite and
+/// non-negative; clamp rather than emit JSON the viewer rejects.
+fn clean_us(ts: f64) -> f64 {
     if ts.is_finite() && ts >= 0.0 {
         ts
     } else {
@@ -112,69 +65,60 @@ impl ChromeTrace {
         self.events.is_empty()
     }
 
+    /// Renders one event: the common fields, then whatever `extra` adds
+    /// (`dur`, `s`, `args`), in the codec's compact layout.
     fn push_event(
         &mut self,
-        ph: char,
-        pid: u32,
-        tid: u32,
+        ph: &str,
+        (pid, tid): (u32, u32),
         name: &str,
         cat: &str,
         ts: f64,
-        extra: impl FnOnce(&mut String),
+        extra: impl FnOnce(&mut Metrics),
     ) {
-        let mut e = String::with_capacity(96);
-        e.push_str("{\"ph\":\"");
-        e.push(ph);
-        e.push_str("\",\"pid\":");
-        let _ = write!(e, "{pid}");
-        e.push_str(",\"tid\":");
-        let _ = write!(e, "{tid}");
-        e.push_str(",\"name\":");
-        write_string(&mut e, name);
+        let mut e = Metrics::new();
+        e.set("ph", ph)
+            .set("pid", u64::from(pid))
+            .set("tid", u64::from(tid))
+            .set("name", name);
         if !cat.is_empty() {
-            e.push_str(",\"cat\":");
-            write_string(&mut e, cat);
+            e.set("cat", cat);
         }
-        e.push_str(",\"ts\":");
-        let _ = write!(e, "{:?}", clean_ts(ts));
+        e.set("ts", clean_us(ts));
         extra(&mut e);
-        e.push('}');
-        self.events.push(e);
+        self.events.push(e.to_json_compact());
     }
 
     /// Names the process (Perfetto track group) `pid`.
     pub fn process_name(&mut self, pid: u32, name: &str) {
-        let mut args = Metrics::new();
-        args.set("name", name);
-        self.push_event('M', pid, 0, "process_name", "", 0.0, |e| {
-            e.push_str(",\"args\":");
-            compact_map(e, &args);
-        });
+        self.metadata((pid, 0), "process_name", name);
     }
 
     /// Names thread (track) `tid` of process `pid`.
     pub fn thread_name(&mut self, pid: u32, tid: u32, name: &str) {
+        self.metadata((pid, tid), "thread_name", name);
+    }
+
+    fn metadata(&mut self, track: (u32, u32), event: &str, name: &str) {
         let mut args = Metrics::new();
         args.set("name", name);
-        self.push_event('M', pid, tid, "thread_name", "", 0.0, |e| {
-            e.push_str(",\"args\":");
-            compact_map(e, &args);
+        self.push_event("M", track, event, "", 0.0, |e| {
+            e.set("args", args);
         });
     }
 
     /// Adds a complete ("X") duration event spanning `[ts, ts + dur]`
     /// microseconds.
     pub fn complete(&mut self, pid: u32, tid: u32, name: &str, cat: &str, ts: f64, dur: f64) {
-        let dur = if dur.is_finite() && dur >= 0.0 { dur } else { 0.0 };
-        self.push_event('X', pid, tid, name, cat, ts, |e| {
-            let _ = write!(e, ",\"dur\":{dur:?}");
+        self.push_event("X", (pid, tid), name, cat, ts, |e| {
+            e.set("dur", clean_us(dur));
         });
     }
 
     /// Adds a thread-scoped instant ("i") event.
     pub fn instant(&mut self, pid: u32, tid: u32, name: &str, cat: &str, ts: f64) {
-        self.push_event('i', pid, tid, name, cat, ts, |e| {
-            e.push_str(",\"s\":\"t\"");
+        self.push_event("i", (pid, tid), name, cat, ts, |e| {
+            e.set("s", "t");
         });
     }
 
@@ -189,30 +133,20 @@ impl ChromeTrace {
         ts: f64,
         args: &Metrics,
     ) {
-        self.push_event('i', pid, tid, name, cat, ts, |e| {
-            e.push_str(",\"s\":\"t\",\"args\":");
-            compact_map(e, args);
+        self.push_event("i", (pid, tid), name, cat, ts, |e| {
+            e.set("s", "t").set("args", args.clone());
         });
     }
 
     /// Adds a counter ("C") sample. Each `(series, value)` pair becomes
     /// a line on the counter track `name`.
     pub fn counter(&mut self, pid: u32, name: &str, ts: f64, series: &[(&str, f64)]) {
-        self.push_event('C', pid, 0, name, "counter", ts, |e| {
-            e.push_str(",\"args\":{");
-            for (i, (k, v)) in series.iter().enumerate() {
-                if i > 0 {
-                    e.push(',');
-                }
-                write_string(e, k);
-                e.push(':');
-                if v.is_finite() {
-                    let _ = write!(e, "{v:?}");
-                } else {
-                    e.push_str("null");
-                }
-            }
-            e.push('}');
+        let mut args = Metrics::new();
+        for (k, v) in series {
+            args.set(k, *v);
+        }
+        self.push_event("C", (pid, 0), name, "counter", ts, |e| {
+            e.set("args", args);
         });
     }
 

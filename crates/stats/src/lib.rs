@@ -12,8 +12,10 @@
 //! * [`CycleHistogram`] — log-bucketed latency/size histogram with
 //!   p50/p90/p99 percentile queries (translation-episode latencies);
 //! * [`harmonic_mean`] / [`Table`] — aggregation and rendering;
-//! * [`Metrics`] — an insertion-ordered metrics registry with JSON
-//!   export (`metrics.json` emitted by every bench run);
+//! * [`Metrics`] — an insertion-ordered metrics registry and the
+//!   workspace's one JSON codec: a pretty and a compact writer
+//!   (`metrics.json` emitted by every bench run) and a strict parser,
+//!   [`Metrics::from_json`];
 //! * [`ChromeTrace`] — Chrome `trace_event` JSON writer so flight-
 //!   recorder output loads in Perfetto / `chrome://tracing`;
 //! * [`PromText`] / [`parse_exposition`] — Prometheus text-exposition
@@ -26,6 +28,7 @@ mod breakeven;
 mod chrome_trace;
 mod cycle_histogram;
 mod histogram;
+mod json;
 mod metrics;
 mod prom;
 pub mod series;
@@ -36,6 +39,7 @@ pub use breakeven::breakeven_cycles;
 pub use chrome_trace::ChromeTrace;
 pub use cycle_histogram::CycleHistogram;
 pub use histogram::{FreqBucket, FreqHistogram};
+pub use json::{JsonError, MAX_JSON_DEPTH};
 pub use metrics::{MetricValue, Metrics};
 pub use prom::{parse_exposition, sanitize_metric_name, PromFamily, PromKind, PromSample, PromText};
 pub use series::{LogSampler, Sample};

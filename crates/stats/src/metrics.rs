@@ -1,13 +1,10 @@
-//! A small metrics registry with JSON export.
+//! A small insertion-ordered metrics registry: the workspace's one
+//! JSON model.
 //!
 //! Benches record run metrics into a [`Metrics`] tree and serialize it
-//! to `metrics.json` with [`Metrics::to_json`] so figure/table runs are
-//! machine-readable without scraping stdout. The writer is hand-rolled
-//! (the workspace takes no serialization dependency): keys keep
-//! insertion order, strings are escaped per RFC 8259, and non-finite
-//! floats serialize as `null` (JSON has no representation for them).
-
-use std::fmt::Write as _;
+//! to `metrics.json` so figure/table runs are machine-readable without
+//! scraping stdout; the service answers in it and parses request bodies
+//! into it. The codec (writer and strict parser) lives in `json.rs`.
 
 /// A metric value: scalar, string, list, or nested map.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +23,50 @@ pub enum MetricValue {
     List(Vec<MetricValue>),
     /// Nested metrics map (insertion-ordered).
     Map(Metrics),
+}
+
+impl MetricValue {
+    /// The value of a `U64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            MetricValue::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Any numeric variant as a float.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            MetricValue::U64(n) => Some(*n as f64),
+            MetricValue::I64(n) => Some(*n as f64),
+            MetricValue::F64(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The text of a `Str`.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            MetricValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The items of a `List`.
+    pub fn as_list(&self) -> Option<&[MetricValue]> {
+        match self {
+            MetricValue::List(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The map of a `Map`.
+    pub fn as_map(&self) -> Option<&Metrics> {
+        match self {
+            MetricValue::Map(m) => Some(m),
+            _ => None,
+        }
+    }
 }
 
 impl From<u64> for MetricValue {
@@ -77,7 +118,7 @@ impl<T: Into<MetricValue>> From<Vec<T>> for MetricValue {
 /// An insertion-ordered key → value metrics map.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    entries: Vec<(String, MetricValue)>,
+    pub(crate) entries: Vec<(String, MetricValue)>,
 }
 
 impl Metrics {
@@ -116,102 +157,6 @@ impl Metrics {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> + '_ {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Serializes to pretty-printed JSON (2-space indent, trailing
-    /// newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        write_map(&mut out, self, 0);
-        out.push('\n');
-        out
-    }
-}
-
-fn indent(out: &mut String, level: usize) {
-    for _ in 0..level {
-        out.push_str("  ");
-    }
-}
-
-fn write_map(out: &mut String, m: &Metrics, level: usize) {
-    if m.entries.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push_str("{\n");
-    for (i, (k, v)) in m.entries.iter().enumerate() {
-        indent(out, level + 1);
-        write_string(out, k);
-        out.push_str(": ");
-        write_value(out, v, level + 1);
-        if i + 1 < m.entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    indent(out, level);
-    out.push('}');
-}
-
-fn write_value(out: &mut String, v: &MetricValue, level: usize) {
-    match v {
-        MetricValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        MetricValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        MetricValue::F64(x) => {
-            if x.is_finite() {
-                // `{:?}` keeps round-trip precision and always includes
-                // a decimal point or exponent, so the value re-parses as
-                // a float.
-                let _ = write!(out, "{x:?}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        MetricValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        MetricValue::Str(s) => write_string(out, s),
-        MetricValue::List(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                indent(out, level + 1);
-                write_value(out, item, level + 1);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            indent(out, level);
-            out.push(']');
-        }
-        MetricValue::Map(m) => write_map(out, m, level),
-    }
-}
-
-/// Escapes and quotes `s` per RFC 8259, appending to `out`. Shared with
-/// the Chrome-trace writer so both exporters escape identically.
-pub(crate) fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
