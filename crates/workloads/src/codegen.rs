@@ -138,10 +138,8 @@ pub fn build_app_run(profile: &AppProfile, scale: f64, length_mult: f64) -> Work
     mem.load(CODE_BASE, &code);
 
     // ---- data: globals, function table, schedule -------------------------
-    for k in 0..(profile.data_kb as u32 * 1024 / 4) {
-        if k % 7 == 0 {
-            mem.write_u32(DATA_BASE + k * 4, k.wrapping_mul(0x9e37_79b9));
-        }
+    for k in (0..profile.data_kb * 1024 / 4).step_by(7) {
+        mem.write_u32(DATA_BASE + k * 4, k.wrapping_mul(0x9e37_79b9));
     }
     for (i, f) in funcs.iter().enumerate() {
         mem.write_u32(FTAB_BASE + 4 * i as u32, f.addr);
@@ -359,14 +357,109 @@ mod tests {
     use super::*;
     use crate::winstone2004;
 
+    /// The code, data, function-table and schedule regions of `wl`, read
+    /// back from its image. The code region is read to a bound of 16
+    /// bytes per instruction, so it ends in zero padding.
+    fn regions(wl: &mut Workload, p: &AppProfile, scale: f64) -> [Vec<u8>; 4] {
+        // As in `build_app_run`.
+        let nfuncs = ((p.funcs as f64 * scale) as usize).max(32);
+        let spans = [
+            (CODE_BASE, wl.static_insts * 16),
+            (DATA_BASE, p.data_kb as usize * 1024),
+            (FTAB_BASE, nfuncs * 4),
+            (SCHED_BASE, wl.scheduled_calls * 4),
+        ];
+        let out = spans.map(|(base, len)| {
+            let mut buf = vec![0; len];
+            wl.mem.read_bytes(base, &mut buf);
+            buf
+        });
+        assert!(out[0].ends_with(&[0; 16]), "code overran its read bound");
+        out
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
     #[test]
     fn deterministic_generation() {
         let p = &winstone2004()[1];
-        let a = build_app(p, 0.01);
-        let b = build_app(p, 0.01);
+        let mut a = build_app(p, 0.01);
+        let mut b = build_app(p, 0.01);
+        assert_eq!(a.entry, b.entry);
         assert_eq!(a.static_insts, b.static_insts);
         assert_eq!(a.scheduled_calls, b.scheduled_calls);
         assert_eq!(a.approx_dynamic, b.approx_dynamic);
+        assert_eq!(a.mem.resident_pages(), b.mem.resident_pages());
+        let ra = regions(&mut a, p, 0.01);
+        assert!(ra == regions(&mut b, p, 0.01), "images differ");
+
+        // The data region: every seventh word is seeded, the rest is zero.
+        for (k, w) in ra[1].chunks_exact(4).enumerate() {
+            let k = k as u32;
+            let want = if k.is_multiple_of(7) {
+                k.wrapping_mul(0x9e37_79b9)
+            } else {
+                0
+            };
+            assert_eq!(
+                u32::from_le_bytes([w[0], w[1], w[2], w[3]]),
+                want,
+                "data word {k}"
+            );
+        }
+    }
+
+    /// Pins every profile's image byte for byte at scale 0.005: the FNV-1a
+    /// hash of each region (see `regions`) and `entry`, `static_insts`,
+    /// `scheduled_calls`, `approx_dynamic` and `resident_pages()`. Host-side
+    /// changes to the generator must leave these untouched.
+    #[test]
+    fn images_match_golden_fingerprints() {
+        const SCALE: f64 = 0.005;
+        #[rustfmt::skip]
+        const GOLDEN: [(&str, [u64; 4], [u64; 5]); 10] = [
+            ("Access", [0xdce6a3775822b902, 0x9d35042ece6a0092, 0xbb0649c0911c49c5, 0xfe5608f216bb7d79], [4194304, 1384, 6000, 824063, 521]),
+            ("Excel", [0xe74171c8e93d0e38, 0x22c4a02e9ec56d8c, 0x099a1c0a435c1d54, 0x51350d465d3efb0c], [4194304, 1438, 6000, 990523, 265]),
+            ("FrontPage", [0x47c18255cbe2409e, 0x22c4a02e9ec56d8c, 0xd66a7406004fc884, 0xaf2341f1f339d7b5], [4194304, 1407, 6000, 845158, 265]),
+            ("IE", [0x70dda37022e61de9, 0x185471d167d6653c, 0xc1b9fe5452625430, 0x4cda523d1b27bcfb], [4194304, 1468, 6000, 788911, 777]),
+            ("Norton", [0x7fb3b9db99f78c23, 0x22c4a02e9ec56d8c, 0x57de7b3d01579ad2, 0x033becae80c2ac3c], [4194304, 1417, 6000, 1011880, 265]),
+            ("Outlook", [0xb747526b1ece7f76, 0x9d35042ece6a0092, 0x08b5361fe997302c, 0x183f12e5c30c7cd0], [4194304, 1452, 6000, 797597, 521]),
+            ("PowerPoint", [0x8e13b9ccd399b5cc, 0x22c4a02e9ec56d8c, 0xe491ade75b0b17f0, 0x2baf485e810eacbe], [4194304, 1408, 6000, 816857, 265]),
+            ("Project", [0x6ef4bdebe6e82373, 0x22c4a02e9ec56d8c, 0x4a10222ce0258d5f, 0x047d505565acafbc], [4194304, 1459, 6000, 795077, 265]),
+            ("Winzip", [0x5f7cb641c9b5c6ac, 0x22c4a02e9ec56d8c, 0xb503af11848afb94, 0x1dd80f41f4cdd692], [4194304, 1315, 6000, 1244455, 265]),
+            ("Word", [0xfc6eb978cb58c19c, 0x22c4a02e9ec56d8c, 0xedb49838d6bb216b, 0x22cae0f61de645e4], [4194304, 1427, 6000, 822639, 265]),
+        ];
+        let got: Vec<_> = winstone2004()
+            .iter()
+            .map(|p| {
+                let mut wl = build_app(p, SCALE);
+                let hashes = regions(&mut wl, p, SCALE).map(|r| fnv1a(&r));
+                let scalars = [
+                    u64::from(wl.entry),
+                    wl.static_insts as u64,
+                    wl.scheduled_calls as u64,
+                    wl.approx_dynamic,
+                    wl.mem.resident_pages() as u64,
+                ];
+                (p.name, hashes, scalars)
+            })
+            .collect();
+        let rows: String = got
+            .iter()
+            .map(|(name, h, s)| {
+                let h = h.map(|h| format!("{h:#018x}")).join(", ");
+                let s = s.map(|s| s.to_string()).join(", ");
+                format!("\n(\"{name}\", [{h}], [{s}]),")
+            })
+            .collect();
+        assert!(
+            got == GOLDEN,
+            "generated images differ from GOLDEN; they are now:{rows}"
+        );
     }
 
     #[test]
